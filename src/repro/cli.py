@@ -256,21 +256,6 @@ def _cmd_synth(args) -> int:
     if jobs is not None and jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
-    if getattr(args, "strategies", None):
-        from repro.parallel.strategy import resolve_strategies
-
-        try:
-            deck_variants = resolve_strategies(args.strategies)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        if jobs is None:
-            # One slot per variant: `--strategies default` alone races
-            # the whole deck.
-            jobs = len(deck_variants)
-        options = options.with_(portfolio_strategies=args.strategies)
-    if getattr(args, "strategy_stats", None):
-        options = options.with_(strategy_stats=args.strategy_stats)
     if jobs is not None:
         options = options.with_(
             portfolio_jobs=jobs,
@@ -278,18 +263,17 @@ def _cmd_synth(args) -> int:
         )
     if getattr(args, "no_share_bound", False):
         options = options.with_(portfolio_share_bound=False)
-    direction = getattr(args, "direction", None) or (
-        "bidirectional" if args.bidirectional else "forward"
-    )
-    if direction != "forward" and permutation is None:
-        print(f"--direction {direction} needs an invertible "
-              "(tabulated) spec", file=sys.stderr)
+    if args.bidirectional and permutation is None:
+        print("--bidirectional needs an invertible (tabulated) spec",
+              file=sys.stderr)
         return 2
+    direction = "forward"
     try:
-        if direction == "bidirectional":
+        if args.bidirectional:
             from repro.synth.bidirectional import synthesize_bidirectional
 
             both = synthesize_bidirectional(permutation, options)
+            direction = both.direction
             result = both.forward if both.direction == "forward" else (
                 both.inverse if both.inverse is not None else both.forward
             )
@@ -303,23 +287,9 @@ def _cmd_synth(args) -> int:
                     num_vars=result.num_vars,
                     trace=result.trace,
                 )
-        elif direction == "inverse":
-            # Search f⁻¹ and ship the reversed cascade, which realizes
-            # f itself (the standalone form of the portfolio deck's
-            # inverse slots).
-            result = synthesize(permutation.inverse(), options)
-            if result.solved:
-                result = type(result)(
-                    circuit=result.circuit.inverse(),
-                    stats=result.stats,
-                    options=result.options,
-                    num_vars=result.num_vars,
-                    trace=result.trace,
-                    portfolio=getattr(result, "portfolio", None),
-                )
         else:
-            # Prefer the tabulated form when it exists: the portfolio's
-            # inverse-direction deck slots need an invertible spec.
+            # Prefer the tabulated form when it exists: portfolio
+            # workers then verify their slice by simulation.
             result = synthesize(
                 system if permutation is None else permutation, options
             )
@@ -356,8 +326,6 @@ def _cmd_synth(args) -> int:
         print(f"no circuit found within the budget "
               f"({result.stats.steps} steps)")
         return 1
-    if direction == "inverse":
-        print("direction: inverse")
     print(f"gates: {result.circuit.gate_count()}   "
           f"quantum cost: {result.circuit.quantum_cost()}   "
           f"steps: {result.stats.steps}   "
@@ -368,111 +336,10 @@ def _cmd_synth(args) -> int:
               f"seeds, winner slice {summary.winner_slice} "
               f"(seed rank {summary.winner_rank}), "
               f"{summary.cancelled} cancelled")
-        if summary.strategies:
-            counts = {}
-            for entry in summary.slices:
-                if entry.variant:
-                    counts[entry.variant] = counts.get(entry.variant, 0) + 1
-            dealt = ", ".join(
-                f"{name}x{count}" for name, count in counts.items()
-            )
-            print(f"strategies: {dealt}   "
-                  f"winner: {summary.winner_variant or '-'}")
     print(result.circuit)
     if args.draw:
         print()
         print(draw_circuit(result.circuit))
-    return 0
-
-
-def _cmd_strategies(args) -> int:
-    """Inspect the heterogeneous-portfolio strategy catalog (``show``)
-    or the adaptive per-family win statistics (``stats``), including
-    the slot allocation those statistics would deal next."""
-    from repro.parallel.adaptive import bias_weights, load_stats
-    from repro.parallel.strategy import (
-        DECKS,
-        allocate_slots,
-        resolve_strategies,
-    )
-
-    default_deck = "full" if args.action == "show" else "default"
-    try:
-        deck = resolve_strategies(args.strategies or default_deck)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-
-    if args.action == "show":
-        if args.json:
-            print(json.dumps(
-                {
-                    "variants": [entry.as_dict() for entry in deck],
-                    "decks": {
-                        name: list(names)
-                        for name, names in sorted(DECKS.items())
-                    },
-                },
-                indent=2, sort_keys=True,
-            ))
-            return 0
-        print(f"{'variant':<16} {'direction':<13} deltas")
-        for entry in deck:
-            deltas = ", ".join(
-                f"{key}={value}" for key, value in entry.deltas
-            ) or "-"
-            print(f"{entry.name:<16} {entry.direction:<13} {deltas}")
-        print()
-        for name, names in sorted(DECKS.items()):
-            print(f"deck {name}: {', '.join(names)}")
-        return 0
-
-    stats = load_stats(args.stats_path)
-    families = stats.families
-    if args.family:
-        families = {
-            key: value for key, value in families.items()
-            if key == args.family
-        }
-    jobs = args.jobs or len(deck)
-    payload = {
-        "records": stats.records,
-        "skipped": stats.skipped,
-        "jobs": jobs,
-        "families": {},
-    }
-    for key in sorted(families):
-        family_stats = families[key]
-        weights = bias_weights(deck, family_stats)
-        assignment = allocate_slots(len(deck), jobs, weights)
-        payload["families"][key] = {
-            "variants": family_stats,
-            "weights": {
-                entry.name: weight for entry, weight in zip(deck, weights)
-            },
-            "allocation": {
-                deck[index].name: assignment.count(index)
-                for index in range(len(deck))
-            },
-        }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(f"{args.stats_path}: {stats.records} record(s), "
-          f"{stats.skipped} skipped")
-    for key, info in payload["families"].items():
-        print(f"\nfamily {key} (next deck over {jobs} slots):")
-        print(f"  {'variant':<16} {'wins':>5} {'runs':>5} {'slots':>6} "
-              f"{'weight':>7} {'next-deck':>9}")
-        for entry in deck:
-            row = info["variants"].get(entry.name) or {}
-            print(f"  {entry.name:<16} {int(row.get('wins') or 0):>5} "
-                  f"{int(row.get('runs') or 0):>5} "
-                  f"{int(row.get('slots') or 0):>6} "
-                  f"{info['weights'][entry.name]:>7.3f} "
-                  f"{info['allocation'].get(entry.name, 0):>9}")
-    if not payload["families"]:
-        print("no matching families recorded yet")
     return 0
 
 
@@ -1138,27 +1005,10 @@ def _cmd_sweep_sharded(args, harness, registry) -> int:
                 if covered >= args.slice_functions:
                     break
         options = None
-        if args.portfolio_jobs or args.strategies:
+        if args.portfolio_jobs:
             from repro.experiments.common import TABLE1_OPTIONS
 
-            changes = {}
-            deck = ()
-            if args.strategies:
-                from repro.parallel.strategy import resolve_strategies
-
-                try:
-                    deck = resolve_strategies(args.strategies)
-                except ValueError as error:
-                    print(f"cannot plan sweep: {error}", file=sys.stderr)
-                    return 2
-                changes["portfolio_strategies"] = tuple(
-                    entry.name for entry in deck
-                )
-            if args.portfolio_jobs:
-                changes["portfolio_jobs"] = args.portfolio_jobs
-            elif deck:
-                changes["portfolio_jobs"] = len(deck)
-            options = TABLE1_OPTIONS.with_(**changes)
+            options = TABLE1_OPTIONS.with_(portfolio_jobs=args.portfolio_jobs)
         try:
             manifest = build_manifest(
                 universe=args.universe, shards=args.shards,
@@ -1358,24 +1208,9 @@ def _cmd_serve(args) -> int:
         trace = TraceSession.create(args.trace_dir, process="serve")
     from repro.harness import RetryPolicy
 
-    options = _options_from_args(args)
-    if getattr(args, "strategies", None):
-        from repro.parallel.strategy import resolve_strategies
-
-        try:
-            deck = resolve_strategies(args.strategies)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        # Miss workers are daemonic, so the deck runs inline there —
-        # one slot per variant unless the caller sized it already.
-        options = options.with_(
-            portfolio_strategies=tuple(entry.name for entry in deck),
-            portfolio_jobs=options.portfolio_jobs or len(deck),
-        )
     service = SynthesisService(
         store=store,
-        options=options,
+        options=_options_from_args(args),
         jobs=args.jobs,
         metrics=registry,
         trace=trace,
@@ -1539,13 +1374,7 @@ def main(argv: list[str] | None = None) -> int:
     synth.add_argument("--draw", action="store_true",
                        help="print an ASCII diagram")
     synth.add_argument("--bidirectional", action="store_true",
-                       help="also try synthesizing the inverse function "
-                            "(alias for --direction bidirectional)")
-    synth.add_argument("--direction", default=None,
-                       choices=["forward", "inverse", "bidirectional"],
-                       help="cascade search direction: 'inverse' searches "
-                            "f^-1 and ships the reversed cascade "
-                            "(default forward)")
+                       help="also try synthesizing the inverse function")
     synth.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="race the restart seeds across N worker "
                             "processes (portfolio search, see "
@@ -1553,15 +1382,6 @@ def main(argv: list[str] | None = None) -> int:
     synth.add_argument("--cancel-gates", type=int, default=None, metavar="G",
                        help="with --jobs: kill the other workers once a "
                             "verified circuit of at most G gates arrives")
-    synth.add_argument("--strategies", metavar="NAMES", default=None,
-                       help="race a heterogeneous strategy deck: a deck "
-                            "name ('default', 'full') or comma-separated "
-                            "variants (see `rmrls strategies show`); "
-                            "without --jobs, one slot per variant")
-    synth.add_argument("--strategy-stats", metavar="PATH", default=None,
-                       help="adaptive stats JSONL: bias the deck's slot "
-                            "allocation by past per-spec-family wins and "
-                            "append this run's outcome")
     synth.add_argument("--no-share-bound", action="store_true",
                        help="with --jobs: do not share the incumbent "
                             "depth between workers — slower, but every "
@@ -1570,43 +1390,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_option_flags(synth)
     _add_observability_flags(synth)
     synth.set_defaults(handler=_cmd_synth)
-
-    strategies_cmd = commands.add_parser(
-        "strategies",
-        help="inspect the heterogeneous portfolio strategy catalog and "
-             "the adaptive win statistics (see docs/parallel.md)",
-    )
-    strategies_sub = strategies_cmd.add_subparsers(
-        dest="action", required=True
-    )
-    strat_show = strategies_sub.add_parser(
-        "show", help="list the variant catalog and the named decks"
-    )
-    strat_show.add_argument("--strategies", metavar="NAMES", default=None,
-                            help="deck name or comma-separated variants "
-                                 "(default: the full catalog)")
-    strat_show.add_argument("--json", action="store_true",
-                            help="print the catalog as JSON")
-    strat_show.set_defaults(handler=_cmd_strategies)
-    strat_stats = strategies_sub.add_parser(
-        "stats",
-        help="per-family win tables from an adaptive stats file, plus "
-             "the slot allocation those stats would deal next",
-    )
-    strat_stats.add_argument("stats_path", metavar="STATS",
-                             help="the --strategy-stats JSONL file")
-    strat_stats.add_argument("--family", default=None, metavar="KEY",
-                             help="only this spec family "
-                                  "(e.g. 'v3:t2-4-7')")
-    strat_stats.add_argument("--jobs", type=int, default=None, metavar="N",
-                             help="slots in the hypothetical next deck "
-                                  "(default: one per variant)")
-    strat_stats.add_argument("--strategies", metavar="NAMES", default=None,
-                             help="deck name or comma-separated variants "
-                                  "(default: 'default')")
-    strat_stats.add_argument("--json", action="store_true",
-                             help="print the tables as JSON")
-    strat_stats.set_defaults(handler=_cmd_strategies)
 
     profile = commands.add_parser(
         "profile",
@@ -1903,10 +1686,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="plan: bake an N-slot portfolio into the "
                             "manifest options (daemonic shard workers "
                             "run it inline)")
-    sweep.add_argument("--strategies", metavar="NAMES", default=None,
-                       help="plan: bake a heterogeneous strategy deck "
-                            "into the manifest options (deck name or "
-                            "comma-separated variants)")
     _add_engine_flag(sweep)
     _add_harness_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
@@ -1948,11 +1727,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_cmd.add_argument("--flight-dir", metavar="DIR", default=None,
                            help="arm flight recorders in the daemon and "
                                 "its workers; crash dumps land under DIR")
-    serve_cmd.add_argument("--strategies", metavar="NAMES", default=None,
-                           help="cache misses run a heterogeneous "
-                                "strategy deck (inline, inside the miss "
-                                "worker): a deck name or comma-separated "
-                                "variants")
     _add_option_flags(serve_cmd)
     serve_cmd.set_defaults(handler=_cmd_serve)
 

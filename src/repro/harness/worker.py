@@ -58,15 +58,9 @@ def apply_memory_limit(mem_limit_mb: int) -> bool:
     return True
 
 
-def _synthesis_result_dict(result, verified: bool | None,
-                           circuit=None) -> dict:
+def _synthesis_result_dict(result, verified: bool | None) -> dict:
     """Map a :class:`SynthesisResult` (+ verification verdict) onto the
-    worker result schema.
-
-    ``circuit`` overrides the reported cascade — the inverse-direction
-    portfolio path searches ``f⁻¹`` but must ship the reversed cascade
-    that realizes ``f`` itself.
-    """
+    worker result schema."""
     status = status_from_finish_reason(
         result.stats.finish_reason, result.solved
     )
@@ -76,11 +70,9 @@ def _synthesis_result_dict(result, verified: bool | None,
             out["status"] = STATUS_UNSOUND
         from repro.io.real_format import dump_real
 
-        if circuit is None:
-            circuit = result.circuit
-        out["gate_count"] = circuit.gate_count()
-        out["quantum_cost"] = circuit.quantum_cost()
-        out["circuit"] = dump_real(circuit)
+        out["gate_count"] = result.circuit.gate_count()
+        out["quantum_cost"] = result.circuit.quantum_cost()
+        out["circuit"] = dump_real(result.circuit)
     return out
 
 
@@ -190,27 +182,15 @@ def _run_portfolio(
     """One portfolio slice: the serial search restricted to this
     worker's seed ranks (see :mod:`repro.parallel`), reporting the
     winning seed's rank and an optional metrics snapshot alongside the
-    usual synthesis result.
-
-    A heterogeneous-deck slot carries ``direction`` in its payload:
-    ``inverse`` searches the spec's inverse permutation and ships the
-    *reversed* cascade (verified against the forward spec — the
-    shared bound needs no translation, since a cascade and its
-    reverse have the same gate count); ``bidirectional`` delegates to
-    the :mod:`repro.synth.bidirectional` seam inside the worker.
-    """
+    usual synthesis result."""
     from repro.synth.rmrls import synthesize
 
     synth_options = options_from_payload(options)
-    direction = payload.get("direction") or "forward"
-    spec = None
-    search_spec = None
     if "images" in payload:
         from repro.functions.permutation import Permutation
 
         spec = Permutation(payload["images"])
-        search_spec = spec.inverse() if direction == "inverse" else spec
-        system = search_spec.to_pprm()
+        system = spec.to_pprm()
     elif "packed" in payload:
         # The driver ships per-output big-int bitsets (the
         # engine-agnostic wire form); unpack straight into the backend
@@ -232,11 +212,6 @@ def _run_portfolio(
 
         spec = None
         system = parse_system(payload["system"])
-    if direction != "forward" and spec is None:
-        raise ValueError(
-            f"{direction} portfolio slots need an invertible "
-            "(permutation) specification"
-        )
     bound = (runtime or {}).get("bound")
     session = (runtime or {}).get("trace_session")
     span = (runtime or {}).get("trace_span")
@@ -269,78 +244,23 @@ def _run_portfolio(
         synth_options = synth_options.with_(
             observers=synth_options.observers + (MetricsObserver(registry),)
         )
-    seeds = payload.get("seeds") or []
-    if direction == "bidirectional":
-        from repro.synth.bidirectional import synthesize_bidirectional
-        from repro.synth.stats import SearchStats
-
-        both = synthesize_bidirectional(spec, synth_options)
-        stats = SearchStats.from_dict(both.forward.stats.as_dict())
-        if both.inverse is not None:
-            stats.merge(both.inverse.stats)
-            # The two legs run sequentially inside this worker, so wall
-            # time adds (merge's max() models concurrent fleet slices).
-            stats.elapsed_seconds = (
-                both.forward.stats.elapsed_seconds
-                + both.inverse.stats.elapsed_seconds
-            )
-        winning = both.inverse if both.direction == "inverse" else both.forward
-        stats.finish_reason = winning.stats.finish_reason
-        out = {
-            "status": status_from_finish_reason(
-                stats.finish_reason, both.solved
-            ),
-            "stats": stats.as_dict(),
-        }
-        if both.solved:
-            # synthesize_bidirectional already reversed an inverse win
-            # and verified the result against the forward spec.
-            from repro.io.real_format import dump_real
-
-            out["gate_count"] = both.circuit.gate_count()
-            out["quantum_cost"] = both.circuit.quantum_cost()
-            out["circuit"] = dump_real(both.circuit)
-        extra = out.setdefault("extra", {})
-        extra["finish_reason"] = stats.finish_reason
-        extra["resolved_direction"] = both.direction
-        if both.solved:
-            extra["depth"] = both.gate_count
-            extra["solution_rank"] = (
-                _solution_seed_rank(both.forward.circuit, seeds)
-                if both.direction == "forward"
-                else -1
-            )
-    else:
-        result = synthesize(system, synth_options)
-        final_circuit = result.circuit
-        verified = None
-        if result.solved:
-            if direction == "inverse":
-                # The searched cascade realizes f⁻¹; ship its reverse,
-                # which realizes f (gate counts match, so the shared
-                # bound needed no translation during the search).
-                final_circuit = result.circuit.inverse()
-                verified = final_circuit.implements(spec)
-            elif spec is not None:
-                verified = result.circuit.implements(spec)
-            else:
-                # A PPRM spec carries its own ground truth (as in
-                # _run_pprm).
-                verified = str(result.circuit.to_pprm()) == str(system)
-        out = _synthesis_result_dict(result, verified, circuit=final_circuit)
-        extra = out.setdefault("extra", {})
-        extra["finish_reason"] = result.stats.finish_reason
-        if result.solved:
-            extra["depth"] = result.gate_count
-            # Rank against the *searched* cascade: an inverse slot's
-            # seeds are ranks into the inverse first level.
-            extra["solution_rank"] = _solution_seed_rank(
-                result.circuit, seeds
-            )
+    result = synthesize(system, synth_options)
+    verified = None
+    if result.solved:
+        if spec is not None:
+            verified = result.circuit.implements(spec)
+        else:
+            # A PPRM spec carries its own ground truth (as in _run_pprm).
+            verified = str(result.circuit.to_pprm()) == str(system)
+    out = _synthesis_result_dict(result, verified)
+    extra = out.setdefault("extra", {})
     extra["slice"] = payload.get("slice")
-    extra["direction"] = direction
-    if payload.get("variant"):
-        extra["variant"] = payload["variant"]
+    extra["finish_reason"] = result.stats.finish_reason
+    if result.solved:
+        extra["depth"] = result.gate_count
+        extra["solution_rank"] = _solution_seed_rank(
+            result.circuit, payload.get("seeds") or []
+        )
     if registry is not None:
         extra["metrics"] = registry.as_dict()
     return out

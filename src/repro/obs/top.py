@@ -72,10 +72,6 @@ class FleetSnapshot:
         self.bound_history: list[dict] = []
         self.sched: dict = {}
         self.cache: dict = {}
-        #: Per-variant strategy-deck rows (``strategy`` events) and the
-        #: winning variant of the latest deck run (``strategy_win``).
-        self.strategies: dict[str, dict] = {}
-        self.strategy_winner: dict | None = None
         self.flight: dict = {"rings": 0, "dumps": 0}
         self.skipped_lines = 0
         self.shards = 0
@@ -132,22 +128,6 @@ def _fold(snapshot: FleetSnapshot, record: dict) -> None:
             snapshot.sched = dict(attrs, time=stamp)
         elif name == "cache":
             snapshot.cache = dict(attrs, time=stamp)
-        elif name == "strategy":
-            variant = attrs.get("variant")
-            if variant:
-                row = snapshot.strategies.setdefault(
-                    str(variant), {"slots": 0, "wins": 0, "direction": "?"}
-                )
-                row["slots"] += int(attrs.get("slots") or 0)
-                row["direction"] = attrs.get("direction") or row["direction"]
-        elif name == "strategy_win":
-            variant = attrs.get("variant")
-            if variant:
-                row = snapshot.strategies.setdefault(
-                    str(variant), {"slots": 0, "wins": 0, "direction": "?"}
-                )
-                row["wins"] += 1
-                snapshot.strategy_winner = dict(attrs, time=stamp)
     if stamp > view.last_time:
         view.last_time = stamp
     if stamp > snapshot.horizon:
@@ -241,17 +221,6 @@ def render_top(snapshot: FleetSnapshot, bound_tail: int = 5) -> str:
             f"{'-' if best is None else best!s:>5} "
             f"{view.finished:>5} {view.retries:>5}"
         )
-    if snapshot.strategies:
-        lines.append("")
-        lines.append("strategy deck (slots dealt / deck wins):")
-        winner = (snapshot.strategy_winner or {}).get("variant")
-        for name in sorted(snapshot.strategies):
-            row = snapshot.strategies[name]
-            star = " *" if name == winner else ""
-            lines.append(
-                f"  {name:<18} {row['direction']:<13} "
-                f"slots={row['slots']:<4} wins={row['wins']}{star}"
-            )
     if snapshot.bound_history:
         lines.append("")
         lines.append("incumbent bound history (newest last):")

@@ -20,16 +20,6 @@ another.  This module runs the same seed pool *concurrently*:
    snapshots (via ``MetricsRegistry.merge_snapshot``) into one
    fleet-wide :class:`~repro.synth.rmrls.SynthesisResult`.
 
-With ``options.portfolio_strategies`` set, the fleet is *heterogeneous*:
-worker slots are dealt from a :class:`~repro.parallel.strategy.
-StrategyDeck`, so different slots run different named option variants —
-priority weights, greedy-k, engine, and search direction (inverse
-slots race the spec's inverse permutation and ship the reversed
-cascade, so the shared bound needs no translation).  Slot allocation
-can be biased by the :mod:`repro.parallel.adaptive` per-spec-family
-win statistics, and each deck run appends its outcome back to that
-stats file.
-
 Winner selection is deterministic: minimal solution depth first, then
 the lowest seed rank, then the lowest slice index — never arrival
 order.  See docs/parallel.md for the full determinism contract (budgets
@@ -54,7 +44,6 @@ from repro.harness.taxonomy import (
     TaskOutcome,
 )
 from repro.parallel.bound import LocalBound, SharedBound
-from repro.parallel.strategy import resolve_strategies
 from repro.perf.hotops import global_counters
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import (
@@ -72,12 +61,10 @@ __all__ = [
 ]
 
 #: Option fields the portfolio driver owns; cleared on worker options so
-#: a worker never recursively spawns its own portfolio (or deck).
+#: a worker never recursively spawns its own portfolio.
 _DRIVER_FIELDS = dict(
     portfolio_jobs=None,
     portfolio_cancel_gates=None,
-    portfolio_strategies=None,
-    strategy_stats=None,
     observers=(),
     phase_timer=None,
     bound_channel=None,
@@ -101,10 +88,8 @@ def partition_seeds(num_seeds: int, jobs: int) -> list[tuple[int, ...]]:
     across workers, so the seeds the serial restart order would try
     first are all being raced from the start.  The result always holds
     exactly ``jobs`` well-formed slices — when there are more jobs than
-    seeds (or zero seeds) the surplus slices are empty tuples, and the
-    caller decides whether an empty slice means "drop the slot" (the
-    deck builder) or never materializes a worker (the homogeneous
-    driver).
+    seeds (or zero seeds) the surplus slices are empty tuples, for
+    which the driver never materializes a worker.
     """
     if num_seeds < 0:
         raise ValueError("num_seeds must be non-negative")
@@ -121,15 +106,11 @@ class SliceOutcome:
 
     ``stats`` is the worker's full ``SearchStats.as_dict`` snapshot
     (plus its ``hot_ops``); ``metrics`` the worker registry snapshot
-    when metrics were requested.  ``seed_ranks`` is ``None`` for an
-    unrestricted slot (a heterogeneous deck's bidirectional slots, or
-    inverse slots without an inverse seed pool).  ``variant`` and
-    ``direction`` record the strategy provenance of heterogeneous
-    slots.  ``as_dict`` keeps the headline only.
+    when metrics were requested.  ``as_dict`` keeps the headline only.
     """
 
     slice_index: int
-    seed_ranks: tuple | None
+    seed_ranks: tuple
     status: str
     finish_reason: str
     gate_count: int | None = None
@@ -139,8 +120,6 @@ class SliceOutcome:
     metrics: dict | None = None
     elapsed_seconds: float = 0.0
     error: str | None = None
-    variant: str | None = None
-    direction: str = "forward"
 
     @property
     def steps(self) -> int:
@@ -149,9 +128,7 @@ class SliceOutcome:
     def as_dict(self) -> dict:
         return {
             "slice": self.slice_index,
-            "seed_ranks": (
-                None if self.seed_ranks is None else list(self.seed_ranks)
-            ),
+            "seed_ranks": list(self.seed_ranks),
             "status": self.status,
             "finish_reason": self.finish_reason,
             "gate_count": self.gate_count,
@@ -159,20 +136,12 @@ class SliceOutcome:
             "steps": self.steps,
             "elapsed_seconds": self.elapsed_seconds,
             "error": self.error,
-            "variant": self.variant,
-            "direction": self.direction,
         }
 
 
 @dataclass
 class PortfolioSummary:
-    """Fleet-level accounting attached to a portfolio result.
-
-    Heterogeneous runs additionally carry the strategy provenance:
-    the resolved ``strategies``, the dealt ``deck`` (slot dicts), the
-    winning slice's ``winner_variant``, the adaptive ``family`` key,
-    and the ``adaptive`` stats snapshot the allocation was biased by.
-    """
+    """Fleet-level accounting attached to a portfolio result."""
 
     jobs: int
     seed_count: int
@@ -182,39 +151,9 @@ class PortfolioSummary:
     cancelled: int = 0
     shared_bound: bool = True
     shortcut: bool = False
-    strategies: tuple = ()
-    deck: list = field(default_factory=list)
-    winner_variant: str | None = None
-    family: str | None = None
-    adaptive: dict | None = None
-
-    def variant_rollup(self) -> dict:
-        """Per-variant totals over the slices (heterogeneous runs)."""
-        rollup: dict = {}
-        for entry in self.slices:
-            if not entry.variant:
-                continue
-            row = rollup.setdefault(
-                entry.variant,
-                {
-                    "slices": 0, "solved": 0, "steps": 0,
-                    "elapsed_seconds": 0.0, "best_gate_count": None,
-                },
-            )
-            row["slices"] += 1
-            row["steps"] += entry.steps
-            row["elapsed_seconds"] += entry.elapsed_seconds
-            if entry.status == STATUS_OK and entry.gate_count is not None:
-                row["solved"] += 1
-                if (
-                    row["best_gate_count"] is None
-                    or entry.gate_count < row["best_gate_count"]
-                ):
-                    row["best_gate_count"] = entry.gate_count
-        return rollup
 
     def as_dict(self) -> dict:
-        data = {
+        return {
             "jobs": self.jobs,
             "seed_count": self.seed_count,
             "winner_slice": self.winner_slice,
@@ -224,15 +163,6 @@ class PortfolioSummary:
             "shortcut": self.shortcut,
             "slices": [entry.as_dict() for entry in self.slices],
         }
-        if self.strategies:
-            data["strategies"] = list(self.strategies)
-            data["deck"] = list(self.deck)
-            data["winner_variant"] = self.winner_variant
-            data["family"] = self.family
-            data["variants"] = self.variant_rollup()
-            if self.adaptive is not None:
-                data["adaptive"] = self.adaptive
-        return data
 
 
 def _spec_payload(specification, system) -> dict:
@@ -259,14 +189,11 @@ def _spec_payload(specification, system) -> dict:
     }
 
 
-def _slice_outcome(
-    task_outcome: TaskOutcome, slice_index, ranks,
-    variant=None, direction="forward",
-):
+def _slice_outcome(task_outcome: TaskOutcome, slice_index, ranks):
     extra = task_outcome.extra or {}
     return SliceOutcome(
         slice_index=slice_index,
-        seed_ranks=None if ranks is None else tuple(ranks),
+        seed_ranks=tuple(ranks),
         status=task_outcome.status,
         finish_reason=str(extra.get("finish_reason") or ""),
         gate_count=task_outcome.gate_count,
@@ -276,8 +203,6 @@ def _slice_outcome(
         metrics=extra.get("metrics"),
         elapsed_seconds=task_outcome.elapsed_seconds,
         error=task_outcome.error,
-        variant=extra.get("variant") or variant,
-        direction=str(extra.get("direction") or direction),
     )
 
 
@@ -324,11 +249,10 @@ def synthesize_portfolio(
     concurrency).
 
     ``inline=True`` runs the fleet sequentially in this process
-    (slot by slot over a :class:`~repro.parallel.bound.LocalBound`)
+    (slice by slice over a :class:`~repro.parallel.bound.LocalBound`)
     instead of forking workers.  The default (``None``) auto-detects:
     a *daemonic* process — a sweep-shard or synthesis-service worker —
-    cannot fork children, so the portfolio inlines itself there and
-    the strategy deck still runs end to end.
+    cannot fork children, so the portfolio inlines itself there.
 
     Returns a fleet-wide :class:`SynthesisResult`: the deterministic
     winner's circuit, merged ``SearchStats`` (slice totals; note every
@@ -404,9 +328,6 @@ def _run_portfolio_driver(
 ):
     system = _as_system(specification, options.engine)
 
-    # Resolve before any work so an unknown strategy name fails fast.
-    strategies = resolve_strategies(options.portfolio_strategies)
-
     # Seed enumeration runs in-process, without the caller's live
     # observers (workers repeat the root expansion under their own).
     quiet = options.with_(**_DRIVER_FIELDS)
@@ -437,78 +358,11 @@ def _run_portfolio_driver(
     if registries:
         payload_spec = dict(payload_spec, metrics=True)
 
-    deck = None
-    family = None
-    adaptive_info = None
-    inverse_triples: list = []
-    if strategies and "images" not in payload_spec:
-        # A PPRM-only spec cannot be inverted symbolically: keep the
-        # forward-direction variants; an all-inverse deck degrades to
-        # the homogeneous portfolio rather than failing the synthesis.
-        strategies = tuple(
-            entry for entry in strategies if entry.direction == "forward"
-        )
-    if strategies:
-        from repro.parallel.adaptive import (
-            bias_weights,
-            load_stats,
-            spec_family,
-        )
-        from repro.parallel.strategy import build_deck
-
-        family = spec_family(system)
-        weights = None
-        if options.strategy_stats:
-            stats = load_stats(options.strategy_stats)
-            family_stats = stats.family(family)
-            if family_stats:
-                weights = bias_weights(strategies, family_stats)
-            adaptive_info = {
-                "stats_path": str(options.strategy_stats),
-                "records": stats.records,
-                "skipped": stats.skipped,
-                "family_runs": sum(
-                    int(entry.get("runs") or 0)
-                    for entry in family_stats.values()
-                ),
-                "weights": weights,
-            }
-        inverse_count = 0
-        if any(entry.direction == "inverse" for entry in strategies):
-            from repro.functions.permutation import Permutation
-
-            inverse_first = enumerate_first_level(
-                Permutation(payload_spec["images"]).inverse(), quiet
-            )
-            if inverse_first.shortcut is None:
-                inverse_triples = [
-                    (s.rank, s.target, s.factor)
-                    for s in inverse_first.seeds
-                ]
-                inverse_count = len(inverse_triples)
-        deck = build_deck(
-            strategies, jobs, len(seeds), inverse_count, weights=weights,
-        )
-        if not deck.slots:  # pragma: no cover - defensive
-            deck = None
-
-    # The execution plan: one (slice index, seed ranks, variant) triple
-    # per slot.  ``ranks`` is ``None`` for unrestricted slots; the
-    # homogeneous path never materializes an empty slice.
-    if deck is not None:
-        plan = [
-            (slot.slot, slot.seed_ranks, slot.variant)
-            for slot in deck.slots
-        ]
-    else:
-        plan = [
-            (index, ranks, None)
-            for index, ranks in enumerate(
-                ranks
-                for ranks in partition_seeds(len(seeds), jobs)
-                if ranks
-            )
-        ]
+    # One (slice index, seed ranks) pair per worker; surplus empty
+    # slices never materialize.
+    plan = list(enumerate(
+        ranks for ranks in partition_seeds(len(seeds), jobs) if ranks
+    ))
 
     bound = None
     if options.portfolio_share_bound:
@@ -516,57 +370,25 @@ def _run_portfolio_driver(
     runtime = None if bound is None else {"bound": bound}
 
     wire = None if session is None else session.context_for(root_span)
-    tasks = []
-    for index, ranks, entry in plan:
-        base = options if entry is None else entry.apply(options)
-        worker_options = base.with_(
-            portfolio_seed_ranks=ranks, **_DRIVER_FIELDS
+    tasks = [
+        portfolio_task(
+            payload_spec,
+            seed_triples,
+            index,
+            options=options.with_(
+                portfolio_seed_ranks=ranks, **_DRIVER_FIELDS
+            ),
+            runtime=runtime,
+            meta={"label": f"portfolio:slice{index}", "slice": index},
+            trace=wire,
         )
-        slot_payload = payload_spec
-        triples = seed_triples
-        label = f"portfolio:slice{index}"
-        if entry is not None:
-            slot_payload = dict(payload_spec, variant=entry.name)
-            if entry.direction != "forward":
-                slot_payload["direction"] = entry.direction
-            if entry.direction == "inverse":
-                triples = inverse_triples
-            label = f"portfolio:{entry.name}:slot{index}"
-        tasks.append(
-            portfolio_task(
-                slot_payload,
-                triples,
-                index,
-                options=worker_options,
-                runtime=runtime,
-                meta={"label": label, "slice": index},
-                trace=wire,
-            )
-        )
-
-    if session is not None and deck is not None:
-        counts = deck.counts()
-        session.event(
-            "strategy_deck", span=root_span, family=family,
-            counts=counts, adaptive=adaptive_info is not None,
-        )
-        for entry in strategies:
-            session.event(
-                "strategy", span=root_span, variant=entry.name,
-                direction=entry.direction,
-                slots=counts.get(entry.name, 0),
-            )
+        for index, ranks in plan
+    ]
 
     summary = PortfolioSummary(
         jobs=jobs,
         seed_count=len(seeds),
         shared_bound=bound is not None,
-        strategies=(
-            tuple(entry.name for entry in strategies) if deck else ()
-        ),
-        deck=[slot.as_dict() for slot in deck.slots] if deck else [],
-        family=family if deck else None,
-        adaptive=adaptive_info if deck else None,
     )
 
     cancel_gates = options.portfolio_cancel_gates
@@ -583,15 +405,10 @@ def _run_portfolio_driver(
             root_span, pool, jobs, options, flight,
         )
 
-    result = _merge_fleet(
+    return _merge_fleet(
         system, options, summary, registries, started,
         merge_hot_ops=not inline,
     )
-    if deck is not None:
-        _record_strategy_outcome(
-            options, summary, result, registries, session, root_span
-        )
-    return result
 
 
 def _run_plan_pooled(
@@ -638,15 +455,11 @@ def _run_plan_pooled(
     outcomes = pool.run(tasks, on_final=on_final, stop_check=stop_check)
 
     by_task = {outcome.task_id: outcome for outcome in outcomes}
-    for (index, ranks, entry), task in zip(plan, tasks):
+    for (index, ranks), task in zip(plan, tasks):
         outcome = by_task.get(task.task_id)
         if outcome is None:  # pragma: no cover - defensive
             continue
-        slice_entry = _slice_outcome(
-            outcome, index, ranks,
-            variant=None if entry is None else entry.name,
-            direction="forward" if entry is None else entry.direction,
-        )
+        slice_entry = _slice_outcome(outcome, index, ranks)
         summary.slices.append(slice_entry)
         if slice_entry.status == "interrupted":
             summary.cancelled += 1
@@ -658,35 +471,30 @@ def _run_plan_inline(
     """Run the plan sequentially in this process.
 
     Daemonic pool workers (sweep shards, the synthesis service) cannot
-    fork children, so the deck runs slot by slot over a
-    :class:`~repro.parallel.bound.LocalBound`: later slots still prune
-    against earlier incumbents, the slot order is the deck order (so
-    the run is deterministic), and early cancellation becomes "skip
-    the remaining slots".  Hot-op counters are *not* re-fed to the
+    fork children, so the fleet runs slice by slice over a
+    :class:`~repro.parallel.bound.LocalBound`: later slices still prune
+    against earlier incumbents, the slice order is fixed (so the run is
+    deterministic), and early cancellation becomes "skip the remaining
+    slices".  Hot-op counters are *not* re-fed to the
     process-global meter afterwards — the in-process search already
     incremented it live.
     """
     from repro.harness.worker import execute_payload
 
     stop = False
-    for (index, ranks, entry), task in zip(plan, tasks):
-        variant = None if entry is None else entry.name
-        direction = "forward" if entry is None else entry.direction
-        seed_ranks = None if ranks is None else tuple(ranks)
+    for (index, ranks), task in zip(plan, tasks):
         if stop:
             summary.slices.append(
                 SliceOutcome(
                     slice_index=index,
-                    seed_ranks=seed_ranks,
+                    seed_ranks=ranks,
                     status=STATUS_INTERRUPTED,
                     finish_reason="interrupted",
-                    variant=variant,
-                    direction=direction,
                 )
             )
             summary.cancelled += 1
             continue
-        slot_started = time.monotonic()
+        slice_started = time.monotonic()
         try:
             result = execute_payload(
                 "portfolio", task.payload, task.options,
@@ -700,7 +508,7 @@ def _run_plan_inline(
         extra = result.get("extra") or {}
         slice_entry = SliceOutcome(
             slice_index=index,
-            seed_ranks=seed_ranks,
+            seed_ranks=ranks,
             status=result.get("status", STATUS_CRASH),
             finish_reason=str(extra.get("finish_reason") or ""),
             gate_count=result.get("gate_count"),
@@ -708,10 +516,8 @@ def _run_plan_inline(
             circuit=result.get("circuit"),
             stats=dict(result.get("stats") or {}),
             metrics=extra.get("metrics"),
-            elapsed_seconds=time.monotonic() - slot_started,
+            elapsed_seconds=time.monotonic() - slice_started,
             error=result.get("error"),
-            variant=extra.get("variant") or variant,
-            direction=str(extra.get("direction") or direction),
         )
         summary.slices.append(slice_entry)
         if (
@@ -729,42 +535,6 @@ def _run_plan_inline(
                     gate_count=slice_entry.gate_count, slice=index,
                 )
             stop = True
-
-
-def _record_strategy_outcome(
-    options, summary, result, registries, session, root_span
-):
-    """Persist and surface a deck run's per-variant outcome.
-
-    Appends the run to the adaptive stats file (best-effort), bumps
-    ``strategy_slots_total``/``strategy_wins_total`` counters on the
-    caller's registries, and emits the ``strategy_win`` trace event
-    `rmrls top` folds into its per-variant rows.
-    """
-    if options.strategy_stats and summary.family:
-        from repro.parallel.adaptive import record_portfolio
-
-        record_portfolio(options.strategy_stats, summary.family, summary)
-    counts: dict = {}
-    for entry in summary.slices:
-        if entry.variant:
-            counts[entry.variant] = counts.get(entry.variant, 0) + 1
-    for registry in registries:
-        for name, count in counts.items():
-            registry.counter(
-                "strategy_slots_total", labels={"variant": name}
-            ).inc(count)
-        if summary.winner_variant:
-            registry.counter(
-                "strategy_wins_total",
-                labels={"variant": summary.winner_variant},
-            ).inc()
-    if session is not None and summary.winner_variant:
-        session.event(
-            "strategy_win", span=root_span,
-            variant=summary.winner_variant,
-            gate_count=result.gate_count,
-        )
 
 
 def _serial_fallback(system, options: SynthesisOptions) -> SynthesisResult:
@@ -803,7 +573,6 @@ def _merge_fleet(
         circuit = load_real(winner.circuit)
         summary.winner_slice = winner.slice_index
         summary.winner_rank = winner.solution_rank
-        summary.winner_variant = winner.variant
         fleet.finish_reason = winner.finish_reason or "solved"
     else:
         fleet.finish_reason = _merged_finish_reason(summary.slices)

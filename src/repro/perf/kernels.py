@@ -372,65 +372,6 @@ def _workload_portfolio(quick: bool, engine=None):
     return body
 
 
-def _workload_portfolio_strategies(quick: bool, engine=None):
-    """Homogeneous vs heterogeneous 4-way portfolio on the same spec.
-
-    Times the seed-slice portfolio against the ``default`` strategy
-    deck (paper / greedy / inverse / eliminate) at the same job count.
-    Both walls land on the regression surface as
-    ``..._homogeneous_seconds`` and ``..._heterogeneous_seconds``; the
-    acceptance gate is that the deck never costs wall-clock — it races
-    *different* searches over the same slots, so with ``stop_at_first``
-    it wins as soon as any strategy's restricted queue solves.
-    """
-    from repro.synth.rmrls import synthesize
-
-    if quick:
-        spec = _fixture_portfolio_spec(4, 5)
-        kwargs = dict(greedy_k=1, restart_steps=120, max_steps=4_000)
-    else:
-        spec = _fixture_portfolio_spec(5, 5)
-        kwargs = dict(greedy_k=2, restart_steps=500, max_steps=30_000)
-    kwargs.update(dedupe_states=True, stop_at_first=True, engine=engine)
-    jobs = 4
-
-    def body():
-        import time as _time
-
-        start = _time.perf_counter()
-        homogeneous = synthesize(spec, portfolio_jobs=jobs, **kwargs)
-        homogeneous_seconds = _time.perf_counter() - start
-        start = _time.perf_counter()
-        heterogeneous = synthesize(
-            spec, portfolio_jobs=jobs, portfolio_strategies="default",
-            **kwargs,
-        )
-        heterogeneous_seconds = _time.perf_counter() - start
-        summary = heterogeneous.portfolio
-        return {
-            "jobs": jobs,
-            "solved": bool(homogeneous.solved and heterogeneous.solved),
-            "steps": (
-                homogeneous.stats.steps + heterogeneous.stats.steps
-            ),
-            "homogeneous_gate_count": homogeneous.gate_count,
-            "heterogeneous_gate_count": heterogeneous.gate_count,
-            "strategies": list(summary.strategies),
-            "winner_variant": summary.winner_variant,
-            "cancelled": summary.cancelled,
-            "metrics": {
-                "homogeneous_seconds": homogeneous_seconds,
-                "heterogeneous_seconds": heterogeneous_seconds,
-                "speedup": (
-                    homogeneous_seconds / heterogeneous_seconds
-                    if heterogeneous_seconds else 0.0
-                ),
-            },
-        }
-
-    return body
-
-
 def _workload_tracing_overhead(quick: bool, engine=None):
     """Search-loop cost of distributed tracing, traced vs untraced.
 
@@ -716,7 +657,6 @@ WORKLOADS = {
     "rd53": _workload_rd53,
     "scalability_probe": _workload_scalability_probe,
     "portfolio": _workload_portfolio,
-    "portfolio_strategies": _workload_portfolio_strategies,
     "tracing_overhead": _workload_tracing_overhead,
     "flight_overhead": _workload_flight_overhead,
     "sweep_shard": _workload_sweep_shard,

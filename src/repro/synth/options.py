@@ -150,21 +150,6 @@ class SynthesisOptions:
             recorded as ``interrupted``).  ``None`` cancels only under
             ``stop_at_first``; this trades completeness of the losers'
             statistics for latency, never soundness.
-        portfolio_strategies: race a *heterogeneous* strategy deck
-            instead of identical searches: a deck name (``"default"``,
-            ``"full"``), a comma-separated string, or a tuple of
-            variant names from the
-            :mod:`repro.parallel.strategy` catalog.  Only meaningful
-            with ``portfolio_jobs > 1``; ``None`` (default) races the
-            homogeneous seed-slice portfolio.  See docs/parallel.md.
-        strategy_stats: path of the adaptive strategy-stats JSONL file
-            (:mod:`repro.parallel.adaptive`).  When set alongside
-            ``portfolio_strategies``, past per-spec-family wins bias
-            the deck's slot allocation and this run's outcome is
-            appended for future runs.  A machine-local path: like
-            ``trace_dir`` it never enters task fingerprints — the
-            allocation it produced is recorded in the run report's
-            portfolio section instead.
         portfolio_seed_ranks: restrict *this* search to the given
             first-level seed ranks (0-based positions in the
             priority-sorted first level).  Set by the portfolio driver
@@ -233,8 +218,6 @@ class SynthesisOptions:
     portfolio_jobs: int | None = None
     portfolio_share_bound: bool = True
     portfolio_cancel_gates: int | None = None
-    portfolio_strategies: tuple | str | None = None
-    strategy_stats: str | None = None
     portfolio_seed_ranks: tuple | None = None
     portfolio_poll_steps: int = 64
     trace_dir: str | None = None
@@ -256,14 +239,6 @@ class SynthesisOptions:
                 self,
                 "portfolio_seed_ranks",
                 tuple(self.portfolio_seed_ranks),
-            )
-        if self.portfolio_strategies is not None and not isinstance(
-            self.portfolio_strategies, (str, tuple)
-        ):
-            object.__setattr__(
-                self,
-                "portfolio_strategies",
-                tuple(self.portfolio_strategies),
             )
         if self.deadline_poll_steps < 1:
             raise ValueError("deadline_poll_steps must be >= 1")

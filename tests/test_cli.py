@@ -62,6 +62,16 @@ class TestSynth:
              "--max-steps", "10"]
         )
         assert code == 2
+        assert "--bidirectional" in capsys.readouterr().err
+
+    def test_bidirectional_json_reports_winning_direction(self, capsys):
+        code = main(
+            ["synth", "--spec", "1,0,7,2,3,4,5,6", "--bidirectional",
+             "--max-steps", "10000", "--json"]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["direction"] == "forward"
 
 
 class TestObservabilityFlags:

@@ -13,6 +13,7 @@ for why cancellation deliberately trades determinism for latency.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -48,8 +49,7 @@ class TestPartitionSeeds:
 
     def test_more_jobs_than_seeds_yields_wellformed_empty_slices(self):
         # Exactly ``jobs`` slices, always: surplus slots get empty
-        # tuples (the deck builder drops them, the homogeneous driver
-        # never materializes them as workers).
+        # tuples, which the driver never materializes as workers.
         assert partition_seeds(2, 8) == [
             (0,), (1,), (), (), (), (), (), (),
         ]
@@ -290,6 +290,50 @@ class TestServingDegenerateFleets:
         )
         assert result.portfolio is None
         assert result.solved
+
+
+def _daemonic_portfolio(images, results):
+    """Child body for the daemonic test: a two-job portfolio run from a
+    process that is not allowed to fork children of its own."""
+    try:
+        result = synthesize_portfolio(Permutation(images), jobs=2)
+    except Exception as error:
+        results.put(("error", f"{type(error).__name__}: {error}"))
+        return
+    results.put(("ok", result.circuit and dump_real(result.circuit)))
+
+
+class TestInlineFleet:
+    """The in-process fleet used where forking is impossible."""
+
+    def test_inline_matches_pooled(self, fig1_spec):
+        inline = synthesize_portfolio(fig1_spec, jobs=2, inline=True)
+        pooled = synthesize_portfolio(fig1_spec, jobs=2, inline=False)
+        assert inline.solved and pooled.solved
+        assert inline.gate_count == pooled.gate_count == 3
+        assert (
+            inline.portfolio.winner_rank
+            == pooled.portfolio.winner_rank
+            == 0
+        )
+        assert inline.circuit.implements(fig1_spec)
+
+    def test_daemonic_process_runs_inline(self, fig1_spec):
+        from repro.io.real_format import load_real
+
+        results = multiprocessing.Queue()
+        child = multiprocessing.Process(
+            target=_daemonic_portfolio,
+            args=(list(fig1_spec.images), results),
+            daemon=True,
+        )
+        child.start()
+        status, text = results.get(timeout=60)
+        child.join(timeout=10)
+        assert status == "ok", text
+        assert child.exitcode == 0
+        assert text
+        assert load_real(text).implements(fig1_spec)
 
 
 class TestEarlyCancellation:

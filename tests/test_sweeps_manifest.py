@@ -1,6 +1,7 @@
 """Sweep manifests: deterministic partitions with stable fingerprints."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,11 @@ from repro.sweeps import (
     load_manifest,
     parse_shard_ref,
     write_manifest,
+)
+
+COVERAGE_MANIFEST = (
+    Path(__file__).resolve().parent.parent
+    / "results" / "coverage3.manifest.json"
 )
 
 
@@ -91,6 +97,19 @@ class TestManifestFile:
         json.dump(data, open(path, "w"))
         with pytest.raises(ManifestError, match="fingerprint mismatch"):
             load_manifest(path)
+
+    def test_replanning_reproduces_the_committed_coverage_manifest(self):
+        """Re-planning the committed corpus keeps its task ids.
+
+        An option field added to ``SynthesisOptions`` enters every
+        task's option payload, so it re-keys every task even when its
+        default changes nothing.
+        """
+        committed = json.loads(
+            COVERAGE_MANIFEST.read_text(encoding="utf-8")
+        )
+        manifest = build_manifest(universe="perm3", shards=4, engine="packed")
+        assert manifest.fingerprint == committed["fingerprint"]
 
     def test_non_manifest_file_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
