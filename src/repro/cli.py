@@ -114,9 +114,11 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=["reference", "packed"],
                         default=None,
-                        help="PPRM expansion backend (default: the "
+                        help="PPRM backend of the search (default: the "
                              "RMRLS_ENGINE environment variable, then "
-                             "'reference'; see docs/architecture.md)")
+                             "'packed' up to PACKED_SEARCH_MAX_VARS "
+                             "variables and 'reference' above; see "
+                             "docs/architecture.md)")
 
 
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:

@@ -38,7 +38,7 @@ __all__ = [
 #: boundary) or run-local plumbing like the trace shard directory —
 #: none of them affect the synthesized result, so none may enter the
 #: task fingerprint.
-_UNSERIALIZABLE_OPTIONS = (
+UNSERIALIZABLE_OPTIONS = (
     "observers", "phase_timer", "bound_channel", "trace_dir",
     "flight_dir",
 )
@@ -50,7 +50,7 @@ def options_payload(options: SynthesisOptions | None) -> dict:
         return {}
     data = {}
     for f in dataclasses.fields(options):
-        if f.name in _UNSERIALIZABLE_OPTIONS:
+        if f.name in UNSERIALIZABLE_OPTIONS:
             continue
         data[f.name] = getattr(options, f.name)
     return data

@@ -193,18 +193,13 @@ def _run_portfolio(
         system = spec.to_pprm()
     elif "packed" in payload:
         # The driver ships per-output big-int bitsets (the
-        # engine-agnostic wire form); unpack straight into the backend
-        # the search will run on instead of re-parsing text into sets.
-        from repro.pprm.engine import ENGINE_ENV_VAR, resolve_engine
+        # engine-agnostic wire form) tagged with the backend its search
+        # resolved to; unpacking into that backend makes the worker's
+        # own resolution (same options, same width) a no-op.
+        from repro.pprm.engine import get_engine
 
         spec = None
-        preference = synth_options.engine
-        if preference is None and not os.environ.get(
-            ENGINE_ENV_VAR, ""
-        ).strip():
-            preference = payload.get("engine")
-        engine = resolve_engine(preference)
-        system = engine.unpack_system(
+        system = get_engine(payload.get("engine", "reference")).unpack_system(
             payload["packed"], payload["num_vars"]
         )
     else:

@@ -787,8 +787,9 @@ def replayable(document: dict) -> bool:
     )
 
 
-def _rebuild_system(meta: dict, engine_preference):
-    """The recorded task's PPRM system, on the recorded backend."""
+def _rebuild_system(meta: dict):
+    """The recorded task's PPRM system (the search resolves its own
+    backend from the recorded options)."""
     kind = meta["kind"]
     payload = meta["payload"]
     if kind == "permutation":
@@ -809,10 +810,9 @@ def _rebuild_system(meta: dict, engine_preference):
 
             return Permutation(payload["images"]).to_pprm()
         if "packed" in payload:
-            from repro.pprm.engine import resolve_engine
+            from repro.pprm.engine import get_engine
 
-            preference = engine_preference or payload.get("engine")
-            engine = resolve_engine(preference)
+            engine = get_engine(payload.get("engine", "reference"))
             return engine.unpack_system(
                 payload["packed"], payload["num_vars"]
             )
@@ -937,7 +937,7 @@ def replay_dump(document: dict) -> dict:
 
     from repro.synth.rmrls import synthesize
 
-    system = _rebuild_system(meta, engine)
+    system = _rebuild_system(meta)
     result = synthesize(system, options)
     reachable = [step for step in expected if step <= result.stats.steps]
     unreached = sorted(step for step in expected
@@ -952,7 +952,7 @@ def replay_dump(document: dict) -> dict:
         "steps_replayed": result.stats.steps,
         "finish_reason": result.stats.finish_reason,
         "recorded_reason": document.get("reason"),
-        "engine": engine,
+        "engine": result.engine,
         "solved": result.solved,
         "gate_count": result.gate_count,
     }

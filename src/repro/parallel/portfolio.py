@@ -181,9 +181,8 @@ def _spec_payload(specification, system) -> dict:
         return {"images": list(specification.images)}
     if isinstance(specification, (list, tuple)):
         return {"images": [int(image) for image in specification]}
-    engine = system.engine
     return {
-        "packed": [engine.pack(output) for output in system.outputs],
+        "packed": system.packed_outputs(),
         "num_vars": system.num_vars,
         "engine": system.engine_name,
     }
@@ -578,6 +577,7 @@ def _merge_fleet(
         fleet.finish_reason = _merged_finish_reason(summary.slices)
         fleet.timed_out = fleet.timed_out or fleet.finish_reason == "timeout"
     fleet.elapsed_seconds = time.monotonic() - started
+    fleet.engine = system.engine_name
     return SynthesisResult(
         circuit=circuit,
         stats=fleet,

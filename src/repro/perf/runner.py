@@ -62,16 +62,20 @@ def run_bench(
     skips a whole granularity).  ``repeats``/``warmup`` override the
     per-kernel defaults — test hooks, mostly.  ``engine`` picks the
     PPRM expansion backend the kernels and workloads run on (``None``
-    defers to ``RMRLS_ENGINE``, then ``reference``); the resolved name
-    is recorded in the report's ``config``.  ``progress`` is an
+    means the search default: ``RMRLS_ENGINE``, then ``packed``, with
+    systems wider than ``PACKED_SEARCH_MAX_VARS`` on ``reference``); the
+    resolved name is recorded in the report's ``config``.  ``progress`` is an
     optional ``callable(str)`` for status lines.
     """
-    from repro.pprm.engine import resolve_engine
+    from repro.pprm.engine import default_search_engine, resolve_engine
 
     kernel_list = _select(kernels, KERNELS, "kernel")
     workload_list = _select(workloads, WORKLOADS, "workload")
     say = progress if progress is not None else (lambda message: None)
-    resolved_engine = resolve_engine(engine)
+    resolved_engine = (
+        resolve_engine(engine) if engine is not None
+        else default_search_engine()
+    )
 
     metrics: dict = {}
     kernel_sections: dict = {}

@@ -2,7 +2,8 @@
 
 Product terms are ``int`` bit masks, single outputs are
 :class:`Expansion` objects (canonical XOR-of-terms), and the RMRLS
-search state is a :class:`PPRMSystem` of one expansion per output.
+search state is a :class:`PPRMSystem` — on the default ``packed``
+backend, the whole system as one integer.
 """
 
 from repro.pprm.engine import (
@@ -12,12 +13,18 @@ from repro.pprm.engine import (
     PPRMEngine,
     ReferenceEngine,
     default_engine_name,
+    default_search_engine,
     get_engine,
     resolve_engine,
     resolve_search_engine,
 )
 from repro.pprm.expansion import Expansion
-from repro.pprm.packed import PACKED_MAX_VARS, PackedExpansion, tables_for
+from repro.pprm.packed import (
+    PACKED_MAX_VARS,
+    PACKED_SEARCH_MAX_VARS,
+    PackedExpansion,
+    tables_for,
+)
 from repro.pprm.parser import (
     format_expansion,
     format_system,
@@ -48,6 +55,7 @@ from repro.pprm.transform import (
 __all__ = [
     "Expansion",
     "PACKED_MAX_VARS",
+    "PACKED_SEARCH_MAX_VARS",
     "PackedExpansion",
     "PPRMSystem",
     "ENGINE_ENV_VAR",
@@ -56,6 +64,7 @@ __all__ = [
     "PackedEngine",
     "ReferenceEngine",
     "default_engine_name",
+    "default_search_engine",
     "get_engine",
     "resolve_engine",
     "resolve_search_engine",

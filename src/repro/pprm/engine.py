@@ -13,14 +13,17 @@ Two engines ship:
 * ``reference`` — the frozenset algebra of
   :class:`repro.pprm.expansion.Expansion`; the differential oracle.
 * ``packed`` — :class:`repro.pprm.packed.PackedExpansion`; one big int
-  per expansion, shift/mask substitution (see
-  ``docs/architecture.md``).
+  per expansion, shift/mask substitution, and a whole
+  :class:`~repro.pprm.system.PPRMSystem` as one ``n * 2^n``-bit int
+  (see ``docs/architecture.md``).
 
 Resolution rules: construction helpers default to ``reference`` so
 spec-building code stays backend-stable; the *search* seam
 (:func:`resolve_search_engine`) honours ``SynthesisOptions.engine``
-first, then the ``RMRLS_ENGINE`` environment variable, then keeps the
-input system's own backend.
+first, then the ``RMRLS_ENGINE`` environment variable, then defaults
+to ``packed`` — in every case only up to
+:data:`~repro.pprm.packed.PACKED_SEARCH_MAX_VARS` variables; wider
+systems search on ``reference``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,11 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.pprm.expansion import Expansion
-from repro.pprm.packed import PackedExpansion, tables_for
+from repro.pprm.packed import (
+    PACKED_SEARCH_MAX_VARS,
+    PackedExpansion,
+    tables_for,
+)
 from repro.pprm.transform import mobius_transform
 
 __all__ = [
@@ -40,6 +47,7 @@ __all__ = [
     "PackedEngine",
     "ReferenceEngine",
     "default_engine_name",
+    "default_search_engine",
     "get_engine",
     "resolve_engine",
     "resolve_search_engine",
@@ -230,6 +238,13 @@ class PackedEngine(PPRMEngine):
             return PackedExpansion(expansion.bits, num_vars)
         return PackedExpansion.from_terms(expansion.terms, num_vars)
 
+    def convert_system(self, system):
+        """Return ``system`` in the one-int form (same object if it
+        already is)."""
+        if system.engine_name == self.name:
+            return system
+        return type(system).from_bits(system.bits, system.num_vars)
+
 
 ENGINES: dict[str, PPRMEngine] = {
     engine.name: engine for engine in (ReferenceEngine(), PackedEngine())
@@ -248,7 +263,11 @@ def get_engine(name: str) -> PPRMEngine:
 
 
 def default_engine_name() -> str:
-    """The process-wide default: ``$RMRLS_ENGINE`` or ``reference``."""
+    """The construction default: ``$RMRLS_ENGINE`` or ``reference``.
+
+    Searches default to ``packed`` instead; see
+    :func:`default_search_engine`.
+    """
     name = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
     if not name:
         return "reference"
@@ -271,28 +290,31 @@ def resolve_engine(engine=None) -> PPRMEngine:
     raise TypeError(f"cannot resolve a PPRM engine from {engine!r}")
 
 
-def resolve_search_engine(preference, system) -> PPRMEngine:
-    """Pick the backend a search should run on.
-
-    Explicit preference (``SynthesisOptions.engine``) wins, then the
-    ``RMRLS_ENGINE`` environment variable, then the backend the input
-    system was built with — so an explicitly packed specification is
-    never silently downgraded.
-
-    A width guard applies to the environment-variable path only: the
-    packed encoding is dense in the ``2^n`` term space, so a system
-    wider than :data:`~repro.pprm.packed.PACKED_MAX_VARS` falls back
-    to its own backend rather than failing a blanket
-    ``RMRLS_ENGINE=packed`` run.  An *explicit* over-wide preference
-    still raises, loudly, from the packed constructor.
-    """
-    from repro.pprm.packed import PACKED_MAX_VARS
-
-    if preference is not None:
-        return resolve_engine(preference)
+def default_search_engine() -> PPRMEngine:
+    """The search backend when no preference is given, before the
+    width guard of :func:`resolve_search_engine`: ``$RMRLS_ENGINE`` if
+    set, else ``packed``."""
     if os.environ.get(ENGINE_ENV_VAR, "").strip():
-        engine = ENGINES[default_engine_name()]
-        if engine.name == "packed" and system.num_vars > PACKED_MAX_VARS:
-            return system.engine
-        return engine
-    return system.engine
+        return ENGINES[default_engine_name()]
+    return ENGINES["packed"]
+
+
+def resolve_search_engine(preference, system) -> PPRMEngine:
+    """Pick the backend a search on ``system`` runs on.
+
+    An explicit preference (``SynthesisOptions.engine``) wins, then the
+    ``RMRLS_ENGINE`` environment variable, then ``packed`` — the
+    one-int system state.  Whichever way ``packed`` is chosen, a system
+    wider than :data:`~repro.pprm.packed.PACKED_SEARCH_MAX_VARS`
+    searches on ``reference`` instead: the packed encoding is dense in
+    the ``2^n`` term space, and on wide, sparse systems it loses to the
+    frozenset backend (see the constant for the measurements).
+    """
+    engine = (
+        resolve_engine(preference)
+        if preference is not None
+        else default_search_engine()
+    )
+    if engine.name == "packed" and system.num_vars > PACKED_SEARCH_MAX_VARS:
+        return ENGINES["reference"]
+    return engine

@@ -21,6 +21,15 @@ The shift/mask identities (all positions are term masks):
 The per-variable selector masks ``S_j`` depend only on ``num_vars``;
 :func:`tables_for` builds them once per variable count and caches them
 (`the table cache` of docs/architecture.md).
+
+A whole :class:`~repro.pprm.system.PPRMSystem` on this backend is one
+``n * 2^n``-bit integer: output ``i`` occupies bits
+``[i * 2^n, (i + 1) * 2^n)``.  :class:`SystemTables` holds the slice
+offsets, the identity system's integer and the selector masks tiled
+across all ``n`` slices, so one substitution folds every output at
+once.  The folds never move a bit across a slice boundary (a
+shift by ``2^j`` only lands on positions inside the same slice), which
+is why the single-expansion identities carry over unchanged.
 """
 
 from __future__ import annotations
@@ -33,8 +42,12 @@ from repro.utils.bitops import bits_of
 
 __all__ = [
     "PACKED_MAX_VARS",
+    "PACKED_SEARCH_MAX_VARS",
     "PackedExpansion",
     "PackedTables",
+    "SystemTables",
+    "fold_substitution",
+    "system_tables_for",
     "tables_for",
 ]
 
@@ -45,6 +58,19 @@ __all__ = [
 #: sparse but whose term space is 2^30) must stay on the reference
 #: frozenset backend.
 PACKED_MAX_VARS = 24
+
+#: Widest system a search runs on the packed one-int state; wider
+#: systems search on the reference frozenset backend
+#: (:func:`repro.pprm.engine.resolve_search_engine`).  Measured with
+#: ``TABLE1_OPTIONS``, ``greedy_k=3`` and a 300-step cap (best of 3,
+#: packed / reference wall time): 0.42-0.56 at 10 variables
+#: (graycode10, mod32adder, shift8), 0.54-0.66 at 11 (graycode11,
+#: shift9), 0.76-1.22 at 12 (graycode12, shift10, mod64adder) and
+#: 1.60-2.21 at 13 (graycode13, shift11).  Every state operation is
+#: linear in the ``n * 2^n`` bits however sparse the system is, so the
+#: gap only widens from there: 35x on shift15 (17 variables) and 400x
+#: on graycode20.
+PACKED_SEARCH_MAX_VARS = 11
 
 
 class PackedTables:
@@ -84,6 +110,90 @@ class PackedTables:
 def tables_for(num_vars: int) -> PackedTables:
     """Return the (cached) shift/mask tables for ``num_vars``."""
     return PackedTables(num_vars)
+
+
+class SystemTables:
+    """Tables of the one-int system state for one variable count.
+
+    Output ``i`` starts at bit ``offsets[i]``; ``identity_parts[i]`` is
+    its ``2^n``-bit slice in the identity system and ``identity`` the
+    whole identity system.  ``tiled`` holds the per-variable selector
+    masks repeated across all ``n`` slices; it costs ``n^2 * 2^n``
+    bits, so it is built on the first substitution rather than with
+    the rest of the tables.
+    """
+
+    __slots__ = (
+        "num_vars", "size", "expansion", "offsets", "identity_parts",
+        "identity", "tiled",
+    )
+
+    def __init__(self, num_vars: int):
+        self.expansion = tables_for(num_vars)
+        self.num_vars = num_vars
+        self.size = size = self.expansion.size
+        self.offsets = tuple(i * size for i in range(num_vars))
+        self.identity_parts = tuple(1 << (1 << i) for i in range(num_vars))
+        self.identity = self.join(self.identity_parts)
+        self.tiled = ()
+
+    def tile(self) -> tuple:
+        """Build (once) and return the tiled selector masks."""
+        if not self.tiled:
+            repeat = sum(1 << offset for offset in self.offsets)
+            # The slices do not overlap, so one product tiles a mask.
+            self.tiled = tuple(
+                mask * repeat for mask in self.expansion.var_masks
+            )
+        return self.tiled
+
+    def join(self, parts) -> int:
+        """Pack per-output bitsets into the one-int system state."""
+        full = self.expansion.full
+        bits = 0
+        for offset, part in zip(self.offsets, parts):
+            if part < 0 or part > full:
+                raise ValueError(
+                    f"output bitset {part!r} does not fit "
+                    f"num_vars={self.num_vars}"
+                )
+            bits |= part << offset
+        return bits
+
+    def split(self, bits: int) -> list[int]:
+        """Unpack the one-int system state into per-output bitsets."""
+        full = self.expansion.full
+        return [bits >> offset & full for offset in self.offsets]
+
+
+@lru_cache(maxsize=None)
+def system_tables_for(num_vars: int) -> SystemTables:
+    """Return the (cached) one-int system tables for ``num_vars``."""
+    return SystemTables(num_vars)
+
+
+def fold_substitution(bits: int, var: int, factor: int, masks) -> int:
+    """The bits that ``x := x XOR factor`` flips, for ``var = 2^index``.
+
+    ``masks`` are the per-variable selectors (one expansion's, or the
+    tiled ones of a whole system).  Returns ``0`` when no term contains
+    the variable; XOR the result into ``bits`` to apply it.
+    """
+    selected = bits & masks[var.bit_length() - 1]
+    if not selected:
+        return 0
+    # Drop the target literal: position t moves to t - 2^index.
+    moved = selected >> var
+    while factor:
+        low = factor & -factor
+        factor ^= low
+        # t -> t | bit_j: positions already containing the literal
+        # stay, the rest shift onto them; XOR cancels collisions.
+        # (``moved ^ kept`` is ``moved & ~selector`` without building
+        # a negative complement.)
+        kept = moved & masks[low.bit_length() - 1]
+        moved = kept ^ ((moved ^ kept) << low)
+    return moved
 
 
 class PackedExpansion:
@@ -267,18 +377,9 @@ class PackedExpansion:
                 f"substitution x{index} ^= {format_term(factor)} exceeds "
                 f"num_vars={tables.num_vars}"
             )
-        selected = self._bits & tables.var_masks[index]
-        if not selected:
+        moved = fold_substitution(self._bits, var, factor, tables.var_masks)
+        if not moved:
             return self
-        # Drop the target literal: position t moves to t - 2^index.
-        moved = selected >> var
-        masks = tables.var_masks
-        remaining = factor
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            selector = masks[low.bit_length() - 1]
-            moved = (moved & selector) ^ ((moved & ~selector) << low)
         return PackedExpansion._make(self._bits ^ moved, tables)
 
     # -- evaluation -------------------------------------------------------

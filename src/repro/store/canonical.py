@@ -244,10 +244,7 @@ def _key_material(images, num_vars: int) -> str:
     and therefore unusable on disk).
     """
     system = Permutation(images).to_pprm()
-    engine = system.engine
-    packed = ",".join(
-        format(engine.pack(output), "x") for output in system.outputs
-    )
+    packed = ",".join(format(bits, "x") for bits in system.packed_outputs())
     return (
         f"{CANONICAL_SCHEMA}:v{CANONICAL_VERSION}:n{num_vars}:{packed}"
     )

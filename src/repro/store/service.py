@@ -47,6 +47,7 @@ from repro.functions.permutation import Permutation
 from repro.harness.pool import WorkerBudget, WorkerPool
 from repro.harness.retry import RetryPolicy
 from repro.harness.tasks import (
+    UNSERIALIZABLE_OPTIONS,
     options_from_payload,
     options_payload,
     permutation_task,
@@ -73,6 +74,69 @@ SERVICE_VERSION = 1
 #: Request-latency histogram buckets (seconds): cache hits land in the
 #: sub-10ms buckets, synthesis misses spread over the right tail.
 LATENCY_BOUNDS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
+
+
+#: JSON value types accepted for each part of an option annotation.
+_JSON_KINDS = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "tuple": (list, tuple),
+    "None": (type(None),),
+}
+
+
+def _request_option_types() -> dict:
+    """Option name -> accepted JSON value types, from the annotations
+    of :class:`~repro.synth.options.SynthesisOptions`.  Fields that
+    never travel in a task payload (observers, output directories) are
+    absent: a request may not set them."""
+    from repro.synth.options import SynthesisOptions
+
+    types = {}
+    for field in dataclasses.fields(SynthesisOptions):
+        if field.name in UNSERIALIZABLE_OPTIONS:
+            continue
+        accepted = ()
+        for part in str(field.type).split("|"):
+            accepted += _JSON_KINDS[part.strip()]
+        types[field.name] = accepted
+    return types
+
+
+_REQUEST_OPTION_TYPES = _request_option_types()
+
+
+def _check_request_options(options) -> dict:
+    """Validate a request's ``options`` overrides; return them as a dict.
+
+    Raises :class:`ValueError` — answered as a structured error — for a
+    non-object ``options``, an option a request may not set, or a
+    wrongly typed value of a known option (``bool`` is not a number
+    here).  Unknown names are ignored, as they always were.  One dict
+    lookup per given field, so unadorned requests pay nothing.
+    """
+    if options is None:
+        return {}
+    if not isinstance(options, dict):
+        raise ValueError(
+            f"options must be a JSON object, got {type(options).__name__}"
+        )
+    for name, value in options.items():
+        if name in UNSERIALIZABLE_OPTIONS:
+            raise ValueError(f"option {name!r} cannot be set by a request")
+        accepted = _REQUEST_OPTION_TYPES.get(name)
+        if accepted is None:
+            continue
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and bool not in accepted
+        ):
+            raise ValueError(
+                f"option {name!r} has the wrong type "
+                f"({type(value).__name__}): {value!r}"
+            )
+    return options
 
 
 def default_service_options():
@@ -276,11 +340,20 @@ class SynthesisService:
         return response
 
     def _synthesize(self, spec, options: dict | None) -> dict:
+        options = _check_request_options(options)
+        merged = dict(self.default_options)
+        if options:
+            merged.update(options)
+            try:
+                # Range checks (max_steps >= 1, known engine, ...) run
+                # here, per request, not in the batch that would carry
+                # the bad options to a worker.
+                options_from_payload(merged)
+            except TypeError as error:
+                raise ValueError(f"invalid options: {error}") from None
         images = parse_images(spec)
         permutation = Permutation(images)
         canonical = canonicalize(permutation)
-        merged = dict(self.default_options)
-        merged.update(options or {})
         base = {
             "key": canonical.key,
             "num_vars": canonical.num_vars,
@@ -472,9 +545,10 @@ class SynthesisService:
             circuit = load_real(outcome.circuit)
             provenance = {
                 "source": "serve",
-                "engine": job["options"].get("engine")
-                or os.environ.get("RMRLS_ENGINE")
-                or "reference",
+                # The backend the worker's search resolved to, which
+                # the options alone cannot say (the default is chosen
+                # by system width).
+                "engine": (outcome.stats or {}).get("engine") or None,
                 "options": dict(job["options"]),
                 "git_sha": self._git_sha,
                 "trace_id": getattr(self.trace, "trace_id", None),

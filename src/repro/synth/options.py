@@ -185,9 +185,11 @@ class SynthesisOptions:
             ``"reference"`` (frozenset algebra) or ``"packed"``
             (big-integer bitsets; see :mod:`repro.pprm.engine` and
             docs/architecture.md).  ``None`` defers to the
-            ``RMRLS_ENGINE`` environment variable, falling back to the
-            backend the input system was built with.  Both engines
-            produce identical circuits and stats.
+            ``RMRLS_ENGINE`` environment variable, then ``"packed"``.
+            Systems wider than ``PACKED_SEARCH_MAX_VARS`` search on
+            ``"reference"`` whatever the choice; the backend that ran
+            is ``SynthesisResult.engine``.  Both engines produce
+            identical circuits and stats.
     """
 
     alpha: float = 0.3

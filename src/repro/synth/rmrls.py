@@ -43,7 +43,6 @@ from repro.synth.options import SynthesisOptions
 from repro.synth.priority import MaxPriorityQueue, node_priority
 from repro.synth.stats import SearchStats, TraceRecorder
 from repro.synth.substitutions import enumerate_substitutions
-from repro.utils.bitops import popcount
 from repro.utils.timer import Deadline
 
 __all__ = [
@@ -78,6 +77,12 @@ class SynthesisResult:
     def solved(self) -> bool:
         """True when a circuit was found."""
         return self.circuit is not None
+
+    @property
+    def engine(self) -> str:
+        """The PPRM backend the search actually ran on (see
+        :func:`repro.pprm.engine.resolve_search_engine`)."""
+        return self.stats.engine
 
     @property
     def finish_reason(self) -> str:
@@ -123,7 +128,9 @@ class _Search:
     def __init__(self, system: PPRMSystem, options: SynthesisOptions):
         self.options = options
         self.system = system
-        self.stats = SearchStats(initial_terms=system.term_count())
+        self.stats = SearchStats(
+            initial_terms=system.term_count(), engine=system.engine_name
+        )
         self.trace = TraceRecorder() if options.record_trace else None
         observers = [StatsObserver(self.stats)]
         if self.trace is not None:
@@ -303,6 +310,8 @@ class _Search:
         any_decreasing = False
         depth = parent.depth + 1
         hot = self.hot
+        pprm = parent.pprm
+        parent_terms = parent.terms
         # Hot-op accounting is batched through local ints and flushed
         # once per expansion: per-candidate slot increments cost ~3% of
         # the whole search (see docs/benchmarking.md).
@@ -311,20 +320,20 @@ class _Search:
         try:
             for candidate in candidates:
                 if phases is None:
-                    child_system = parent.pprm.substitute(
+                    child_system = pprm.substitute(
                         candidate.target, candidate.factor
                     )
                     terms = child_system.term_count()
                 else:
                     start = clock()
-                    child_system = parent.pprm.substitute(
+                    child_system = pprm.substitute(
                         candidate.target, candidate.factor
                     )
                     terms = child_system.term_count()
                     phases.add("substitute", clock() - start)
                 applied += 1
                 terms_out += terms
-                elim = parent.terms - terms
+                elim = parent_terms - terms
                 if child_system.is_identity():
                     if depth < self.best_depth:
                         child = self._make_child(
@@ -343,9 +352,19 @@ class _Search:
                 evaluated.append((candidate, child_system, terms, elim))
         finally:
             hot.substitutions_applied += applied
-            hot.pprm_terms_in += applied * parent.terms
+            hot.pprm_terms_in += applied * parent_terms
             hot.pprm_terms_out += terms_out
 
+        # Loop invariants of the child filter, hoisted: the best depth
+        # cannot change below (only solutions move it, found above).
+        drop_growth = any_decreasing or not options.growth_when_stuck
+        depth_pruned = depth >= self.best_depth - 1
+        lower_bound = options.lower_bound_pruning
+        best_depth = self.best_depth
+        visited = self.visited
+        cumulative = options.cumulative_elim_priority
+        initial_terms = self.stats.initial_terms
+        progress_depth = options.progress_depth_priority
         # children grouped per target variable for greedy pruning
         per_variable: dict[int, list[SearchNode]] = {}
         for candidate, child_system, terms, elim in evaluated:
@@ -353,31 +372,31 @@ class _Search:
                 # Fig. 4 line 31 discards growth children; the Sec. IV-F
                 # convergence proof keeps them.  We keep them only when
                 # the node is otherwise stuck (no decreasing child).
-                if any_decreasing or not options.growth_when_stuck:
+                if drop_growth:
                     observer.on_prune(parent, PRUNE_GROWTH)
                     continue
-            if depth >= self.best_depth - 1:
+            if depth_pruned:
                 # The pop-time depth prune (Fig. 4 line 16) would discard
                 # this child anyway; dropping it now saves queue traffic.
                 observer.on_prune(parent, PRUNE_CHILD_DEPTH)
                 continue
-            if options.lower_bound_pruning:
+            if lower_bound:
                 unsolved = child_system.num_vars - child_system.solved_outputs()
-                if depth + unsolved >= self.best_depth:
+                if depth + unsolved >= best_depth:
                     observer.on_prune(parent, PRUNE_LOWER_BOUND)
                     continue
-            if self.visited is not None:
+            if visited is not None:
                 hot.dedupe_probes += 1
                 child_key = child_system.dedupe_key()
                 if phases is None:
-                    known_depth = self.visited.get(child_key)
+                    known_depth = visited.get(child_key)
                     if known_depth is not None and known_depth <= depth:
                         hot.dedupe_hits += 1
                         continue
                     self._visited_record(known_depth, child_key, depth)
                 else:
                     start = clock()
-                    known_depth = self.visited.get(child_key)
+                    known_depth = visited.get(child_key)
                     duplicate = known_depth is not None and known_depth <= depth
                     if not duplicate:
                         self._visited_record(known_depth, child_key, depth)
@@ -385,19 +404,18 @@ class _Search:
                     if duplicate:
                         hot.dedupe_hits += 1
                         continue
-            priority_elim = (
-                self.stats.initial_terms - terms
-                if options.cumulative_elim_priority
-                else elim
-            )
-            if options.progress_depth_priority:
+            priority_elim = initial_terms - terms if cumulative else elim
+            if progress_depth:
                 priority_depth = max(
                     1, parent.progress_depth + (1 if elim > 0 else 0)
                 )
             else:
                 priority_depth = depth
             priority = node_priority(
-                priority_depth, priority_elim, popcount(candidate.factor), options
+                priority_depth,
+                priority_elim,
+                candidate.factor.bit_count(),
+                options,
             )
             child = self._make_child(
                 parent, candidate, child_system, terms, elim, priority

@@ -34,6 +34,9 @@ class SearchStats:
     interrupted: bool = False
     visited_overflows: int = 0
     finish_reason: str = ""
+    # The PPRM backend the search state ran on ("packed" or
+    # "reference"), as resolved for this input — not the option value.
+    engine: str = ""
     # Hot-operation totals (see repro.perf.hotops), snapshotted from
     # the search's always-on counters just before on_finish fires.
     hot_ops: dict = field(default_factory=dict)
@@ -57,8 +60,8 @@ class SearchStats:
         """Fold another run's counters into this one (fleet totals).
 
         Additive counters sum, ``peak_queue_size`` takes the max,
-        ``initial_terms`` keeps the first non-zero value (every
-        portfolio worker starts from the same root), the boolean flags
+        ``initial_terms`` and ``engine`` keep the first non-empty value
+        (every portfolio worker starts from the same root), the boolean flags
         OR, and ``hot_ops`` merges key-wise.  ``finish_reason`` is the
         caller's business — it depends on which run won.
         """
@@ -73,6 +76,8 @@ class SearchStats:
         self.elapsed_seconds = max(self.elapsed_seconds, other.elapsed_seconds)
         if not self.initial_terms:
             self.initial_terms = other.initial_terms
+        if not self.engine:
+            self.engine = other.engine
         for flag in (
             "timed_out", "step_limited", "memory_limited", "interrupted"
         ):

@@ -23,7 +23,7 @@ exempts CNOT factors, which restores the completeness Table I reports
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.pprm.system import PPRMSystem
 from repro.pprm.term import CONSTANT_ONE
@@ -33,10 +33,14 @@ from repro.utils.bitops import bit, popcount
 __all__ = ["Candidate", "enumerate_substitutions"]
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A candidate substitution: target variable, factor term, and
-    whether term growth is tolerated (see module docstring)."""
+    whether term growth is tolerated (see module docstring).
+
+    A named tuple rather than a frozen dataclass: the search builds one
+    per candidate, and tuple construction is the cheapest immutable
+    record.
+    """
 
     target: int
     factor: int
@@ -52,6 +56,9 @@ def enumerate_substitutions(
     convergence argument of Sec. IV-F); the basic configuration
     restricts to kind 1.
     """
+    tables = system.tables
+    if tables is not None:
+        return _enumerate_packed(system.bits, tables, options)
     exempt = options.growth_exempt_literals
     candidates: list[Candidate] = []
     for target in range(system.num_vars):
@@ -84,6 +91,55 @@ def enumerate_substitutions(
             factor_terms_used and expansion.contains_term(CONSTANT_ONE)
         ):
             candidates.append(
+                Candidate(
+                    target=target,
+                    factor=CONSTANT_ONE,
+                    allow_growth=0 <= exempt,
+                )
+            )
+    return candidates
+
+
+def _enumerate_packed(
+    bits: int, tables, options: SynthesisOptions
+) -> list[Candidate]:
+    """:func:`enumerate_substitutions` on the one-int system state.
+
+    Same candidates in the same order: each target's ``2^n``-bit slice
+    is read directly, and factor terms come out lowest bit first, which
+    is the canonical increasing-mask order.
+    """
+    exempt = options.growth_exempt_literals
+    extended = options.extended_substitutions
+    complement = options.complement_substitutions
+    full = tables.expansion.full
+    var_masks = tables.expansion.var_masks
+    candidates: list[Candidate] = []
+    append = candidates.append
+    for target, offset in enumerate(tables.offsets):
+        output = bits >> offset & full
+        target_bit = 1 << target
+        linear_present = output >> target_bit & 1
+        if linear_present and output == 1 << target_bit:
+            # Output already solved (see enumerate_substitutions).
+            continue
+        factor_terms_used = linear_present or extended
+        if factor_terms_used:
+            # Factors must not contain the target: one mask drops them.
+            factors = output & ~var_masks[target]
+            while factors:
+                low = factors & -factors
+                factors ^= low
+                factor = low.bit_length() - 1
+                append(
+                    Candidate(
+                        target=target,
+                        factor=factor,
+                        allow_growth=factor.bit_count() <= exempt,
+                    )
+                )
+        if complement and not (factor_terms_used and output & 1):
+            append(
                 Candidate(
                     target=target,
                     factor=CONSTANT_ONE,

@@ -7,14 +7,20 @@ bit-identical behaviour everywhere the engine seam promises it.
 """
 
 import random
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.benchlib.specs import benchmark
+from repro.experiments.table1 import TABLE1_OPTIONS
 from repro.functions.permutation import Permutation, random_permutation
+from repro.harness.tasks import options_from_payload
 from repro.pprm import (
     ENGINE_ENV_VAR,
     ENGINES,
     PACKED_MAX_VARS,
+    PACKED_SEARCH_MAX_VARS,
     PackedExpansion,
     PPRMSystem,
     get_engine,
@@ -25,11 +31,14 @@ from repro.pprm.engine import default_engine_name
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import synthesize
 from repro.synth.substitutions import enumerate_substitutions
+from repro.sweeps import load_coverage
 
 REFERENCE = ENGINES["reference"]
 PACKED = ENGINES["packed"]
 
 FAST = SynthesisOptions(dedupe_states=True, max_steps=20_000)
+
+CORPUS = Path(__file__).resolve().parent.parent / "results" / "coverage3.jsonl"
 
 
 def _random_terms(rng, num_vars, max_terms=12):
@@ -237,12 +246,12 @@ class TestEngineResolution:
         assert default_engine_name() == "reference"
 
     def test_options_preference_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "packed")
+        monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
         system = PPRMSystem.from_permutation([0, 1, 3, 2])
-        assert resolve_search_engine("reference", system) is REFERENCE
-        assert resolve_search_engine(None, system) is PACKED
-        monkeypatch.delenv(ENGINE_ENV_VAR)
+        assert resolve_search_engine("packed", system) is PACKED
         assert resolve_search_engine(None, system) is REFERENCE
+        monkeypatch.delenv(ENGINE_ENV_VAR)
+        assert resolve_search_engine(None, system) is PACKED
 
     def test_packed_input_is_not_downgraded(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
@@ -265,3 +274,80 @@ class TestEngineResolution:
     def test_options_validate_engine_eagerly(self):
         with pytest.raises(ValueError, match="unknown"):
             SynthesisOptions(engine="turbo")
+
+
+class TestDefaultSearchEngine:
+    """With no preference and no ``RMRLS_ENGINE`` the search runs on
+    the packed one-int state up to ``PACKED_SEARCH_MAX_VARS``
+    variables, and on the reference backend above it."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+
+    @pytest.mark.parametrize("num_vars", [3, 4])
+    def test_default_is_the_int_state(self, num_vars):
+        system = PPRMSystem.from_permutation(
+            random_permutation(num_vars, random.Random(num_vars)).images
+        )
+        assert resolve_search_engine(None, system) is PACKED
+        result = synthesize(system, FAST)
+        assert result.engine == "packed"
+        assert result.stats.as_dict()["engine"] == "packed"
+
+    def test_default_is_reference_for_graycode20(self):
+        system = benchmark("graycode20").pprm()
+        assert system.num_vars == 20
+        assert resolve_search_engine(None, system) is REFERENCE
+
+    def test_every_packed_choice_shares_the_width_guard(self, monkeypatch):
+        narrow = PPRMSystem.identity(PACKED_SEARCH_MAX_VARS)
+        wide = PPRMSystem.identity(PACKED_SEARCH_MAX_VARS + 1)
+        assert resolve_search_engine(None, narrow) is PACKED
+        assert resolve_search_engine(None, wide) is REFERENCE
+        assert resolve_search_engine("packed", narrow) is PACKED
+        assert resolve_search_engine("packed", wide) is REFERENCE
+        monkeypatch.setenv(ENGINE_ENV_VAR, "packed")
+        assert resolve_search_engine(None, narrow) is PACKED
+        assert resolve_search_engine(None, wide) is REFERENCE
+
+    @pytest.mark.parametrize("name", ["shift15", "graycode20"])
+    def test_wide_default_runs_are_not_slower_than_reference(self, name):
+        # The dense encoding took 35x (shift15) and 400x (graycode20)
+        # the reference time here; a 2x bound catches that while
+        # tolerating timing noise.
+        options = TABLE1_OPTIONS.with_(greedy_k=3, max_steps=300)
+        system = benchmark(name).pprm()
+        started = time.perf_counter()
+        reference = synthesize(system, options.with_(engine="reference"))
+        reference_seconds = time.perf_counter() - started
+        started = time.perf_counter()
+        default = synthesize(system, options)
+        default_seconds = time.perf_counter() - started
+        assert default.engine == "reference"
+        assert default.stats.steps == reference.stats.steps
+        assert str(default.circuit) == str(reference.circuit)
+        assert default_seconds <= 2 * reference_seconds + 0.5
+
+
+class TestCorpusSampleCascades:
+    def test_default_matches_reference_byte_for_byte(self, monkeypatch):
+        """The seeded corpus sample of tests/test_coverage_corpus.py
+        (its reference leg) gives byte-identical cascades and equal
+        step counts on the default engine and on the oracle."""
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        if not CORPUS.exists():
+            pytest.skip(f"coverage corpus not found at {CORPUS}")
+        header, records = load_coverage(str(CORPUS))
+        solved = [record for record in records if record.get("status") == "ok"]
+        sample = random.Random(0xC0FFEE + 1).sample(solved, 100)
+        options = options_from_payload(dict(header["options"]))
+        options = options.with_(engine=None)
+        for record in sample:
+            spec = Permutation(list(record["images"]))
+            default = synthesize(spec, options)
+            reference = synthesize(spec, options.with_(engine="reference"))
+            assert default.engine == "packed"
+            assert reference.engine == "reference"
+            assert default.stats.steps == reference.stats.steps
+            assert str(default.circuit) == str(reference.circuit)

@@ -132,6 +132,31 @@ class TestBuildAndValidate:
             validate_run_report([])
 
 
+class TestReportedEngine:
+    """The report names the backend the search ran on, not the option
+    value (``None`` resolves by system width)."""
+
+    def test_default_reports_packed(self, fig1_spec, monkeypatch):
+        monkeypatch.delenv("RMRLS_ENGINE", raising=False)
+        result = synthesize(fig1_spec, SynthesisOptions(dedupe_states=True))
+        assert result.options.engine is None
+        assert build_run_report(result)["engine"] == "packed"
+
+    def test_explicit_reference_is_reported(self, fig1_spec):
+        result = synthesize(
+            fig1_spec, SynthesisOptions(dedupe_states=True, engine="reference")
+        )
+        assert build_run_report(result)["engine"] == "reference"
+
+    def test_wide_system_reports_reference(self, monkeypatch):
+        from repro.pprm import PACKED_SEARCH_MAX_VARS, PPRMSystem
+
+        monkeypatch.delenv("RMRLS_ENGINE", raising=False)
+        wide = PPRMSystem.identity(PACKED_SEARCH_MAX_VARS + 1)
+        result = synthesize(wide, SynthesisOptions(engine="packed"))
+        assert build_run_report(result)["engine"] == "reference"
+
+
 class TestWriteRunReport:
     def test_write_and_reload(self, fig1_spec, tmp_path):
         result, registry, phases = _instrumented_run(

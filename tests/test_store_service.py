@@ -221,3 +221,82 @@ class TestDaemon:
             json.dumps(document)  # JSON-safe end to end
         finally:
             service.close()
+
+
+class TestRequestOptions:
+    """Malformed ``options`` get a structured error reply before any
+    canonicalization, instead of an uncaught exception (which killed
+    the daemon's handler thread) or a batch-wide internal error."""
+
+    def _service(self):
+        return SynthesisService(
+            store=None, options=QUICK, metrics=MetricsRegistry(),
+            batch_window_seconds=0.01,
+        )
+
+    def test_non_dict_options_are_rejected(self):
+        service = self._service()
+        try:
+            for options in (5, [1, 2], "max_steps=3"):
+                response = service.synthesize(SWAP_01, options=options)
+                assert response["status"] == "error"
+                assert response["cache"] is None
+                assert "JSON object" in response["error"]
+        finally:
+            service.close()
+
+    def test_wrongly_typed_known_fields_are_rejected(self):
+        service = self._service()
+        try:
+            for options in (
+                {"max_steps": "x"},
+                {"max_steps": True},
+                {"alpha": "0.3"},
+                {"dedupe_states": 1},
+                {"engine": 7},
+            ):
+                response = service.synthesize(SWAP_01, options=options)
+                assert response["status"] == "error", options
+                assert "wrong type" in response["error"]
+                assert "not supported" not in response["error"]
+        finally:
+            service.close()
+
+    def test_out_of_range_and_unsettable_options_are_rejected(self):
+        service = self._service()
+        try:
+            for options, text in (
+                ({"max_steps": 0}, "max_steps"),
+                ({"engine": "turbo"}, "unknown PPRM engine"),
+                ({"portfolio_seed_ranks": ["a"]}, "invalid options"),
+                ({"trace_dir": "/"}, "cannot be set"),
+            ):
+                response = service.synthesize(SWAP_01, options=options)
+                assert response["status"] == "error", options
+                assert text in response["error"]
+        finally:
+            service.close()
+
+    def test_valid_overrides_still_synthesize(self):
+        service = self._service()
+        try:
+            response = service.synthesize(
+                SWAP_01, options={"max_steps": 500, "alpha": 1}
+            )
+            assert response["status"] == "ok"
+        finally:
+            service.close()
+
+
+class TestProvenanceEngine:
+    def test_store_records_the_engine_that_ran(self, tmp_path):
+        service, store, _registry = make_service(tmp_path)
+        try:
+            first = service.synthesize(SWAP_01)
+            assert first["cache"] == "miss"
+            record = store.get(first["key"])
+            # No engine option: the 3-line search ran on the default
+            # one-int state, which the options alone do not name.
+            assert record.provenance["engine"] == "packed"
+        finally:
+            service.close()
